@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import stats as sps
 
 from ..metrics.errors import rmse
 
@@ -123,7 +122,11 @@ def paired_comparison(
     if np.allclose(diff, 0.0):
         p_value = 1.0
     else:
-        p_value = float(sps.wilcoxon(err_a, err_b, zero_method="zsplit").pvalue)
+        # Imported here: scipy.stats costs about a second of start-up
+        # for this one call.
+        from scipy.stats import wilcoxon
+
+        p_value = float(wilcoxon(err_a, err_b, zero_method="zsplit").pvalue)
     return PairedResult(
         n_common=n,
         a_mean_abs=float(err_a.mean()),

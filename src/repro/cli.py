@@ -81,28 +81,6 @@ import math
 import sys
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .analysis import (
-    ExperimentOrchestrator,
-    ablation_markdown,
-    catalog_markdown,
-    figure2_markdown,
-    format_table,
-    overlay_plot,
-    run_ablation_emax,
-    run_ablation_init,
-    run_ablation_pooling,
-    run_ablation_replacement,
-    run_figure2,
-    run_table1,
-    run_table2,
-    run_table3,
-    scenario_names,
-    table1_markdown,
-    table2_markdown,
-    table3_markdown,
-)
-from .analysis import all_scenarios
-from .analysis.report import scenario_report
 from .io import load_rule_system_with_metadata, read_series_csv
 from .parallel.backends import (
     Backend,
@@ -429,6 +407,8 @@ def _print(text: str) -> None:
 
 def _print_run(run, resumable: bool = True) -> None:
     """Report an orchestrated run: per-scenario tables plus a summary."""
+    from .analysis.report import scenario_report
+
     for name in run.scenarios():
         spec = next(t.spec for t in run.tasks if t.scenario == name)
         payloads = run.payloads(name)
@@ -450,6 +430,14 @@ def _print_run(run, resumable: bool = True) -> None:
 
 
 def _experiment_main(args: argparse.Namespace) -> int:
+    from .analysis import (
+        ExperimentOrchestrator,
+        all_scenarios,
+        catalog_markdown,
+        format_table,
+        scenario_names,
+    )
+
     if args.exp_command == "list":
         if args.markdown:
             sys.stdout.write(catalog_markdown())
@@ -512,6 +500,8 @@ def _experiment_main(args: argparse.Namespace) -> int:
 
 def _models_main(args: argparse.Namespace) -> int:
     """The ``repro models`` registry-lifecycle subcommands."""
+    from .analysis import format_table
+
     registry = ModelRegistry(args.registry)
     try:
         if args.models_command == "list":
@@ -822,6 +812,7 @@ def _policy_main(args: argparse.Namespace) -> int:
     diagnostic, so a typo'd guardrail fails in CI instead of silently
     doing nothing in production.
     """
+    from .analysis import format_table
     from .service.policy import PolicyError, load_policy
 
     try:
@@ -853,6 +844,8 @@ def _adapt_main(args: argparse.Namespace) -> int:
     scripting.
     """
     from pathlib import Path
+
+    from .analysis import format_table
 
     path = Path(args.state_dir) / "status.json"
     if not path.exists():
@@ -908,6 +901,7 @@ def _adapt_main(args: argparse.Namespace) -> int:
 
 def _bench_main(args: argparse.Namespace) -> int:
     """The ``repro bench`` run/compare/list subcommands."""
+    from .analysis import format_table
     from .bench import AREAS, compare_files, run_areas
     from .bench.compare import CompareReport
 
@@ -956,6 +950,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _policy_main(args)
     if args.command == "bench":
         return _bench_main(args)
+    # The paper's tables, figure and ablations.
+    from .analysis import (
+        ablation_markdown,
+        figure2_markdown,
+        format_table,
+        overlay_plot,
+        run_ablation_emax,
+        run_ablation_init,
+        run_ablation_pooling,
+        run_ablation_replacement,
+        run_figure2,
+        run_table1,
+        run_table2,
+        run_table3,
+        table1_markdown,
+        table2_markdown,
+        table3_markdown,
+    )
+
     backend = _backend(args.jobs, args.backend)
     incremental = not args.no_incremental
     compiled = not args.no_compiled

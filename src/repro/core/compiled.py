@@ -610,24 +610,14 @@ class CompiledRuleSystem:
 
     # -- prediction ---------------------------------------------------------
 
-    def _pair_outputs(
-        self, blkT: np.ndarray, r_idx, i_idx, micro: bool = False
-    ) -> np.ndarray:
+    def _pair_outputs(self, blkT: np.ndarray, r_idx, i_idx) -> np.ndarray:
         """Rule outputs for each (rule, pattern) pair — oracle order.
 
-        Two implementations of the same scalar contract (intercept
-        first, then ``+ x_j * a_j`` for ``j = 0 … D-1``, see
-        :meth:`~repro.core.rule.Rule.output`):
-
-        * the per-lag loop — ``D`` small whole-pair-list operations;
-          temporaries stay one-pair-wide, right for bulk blocks;
-        * the ``micro`` path — materialize the ``(pairs, D+1)`` term
-          matrix (intercept in column 0) and take the last column of a
-          row-wise ``cumsum``.  ``np.cumsum`` is a strictly sequential
-          left-to-right accumulation, so every row reproduces the loop's
-          addition order bit for bit while collapsing ``3·D`` numpy
-          calls into a handful — which is what the serving micro-batch
-          regime (few pairs, call-overhead-bound) needs.
+        The scalar contract of :meth:`~repro.core.rule.Rule.output`
+        (intercept first, then ``+ x_j * a_j`` for ``j = 0 … D-1``) as
+        ``D`` whole-pair-list operations, one per lag: temporaries stay
+        one pair wide and each lag reads one contiguous row of the
+        lag-major block and of the weights.
         """
         # Accumulate in float64 regardless of storage: float32 packs
         # round the *parameters* only, never the arithmetic.
@@ -637,16 +627,10 @@ class CompiledRuleSystem:
             if lin.any():
                 rl = r_idx[lin]
                 il = i_idx[lin]
-                if micro:
-                    terms = np.empty((rl.size, self.n_lags + 1))
-                    terms[:, 0] = out[lin]
-                    terms[:, 1:] = blkT.T[il] * self.coeffs[rl, : self.n_lags]
-                    out[lin] = np.cumsum(terms, axis=1)[:, -1]
-                else:
-                    acc = out[lin]
-                    for j in range(self.n_lags):
-                        acc += blkT[j][il] * self._weightsT[j][rl]
-                    out[lin] = acc
+                acc = out[lin]
+                for j in range(self.n_lags):
+                    acc += blkT[j][il] * self._weightsT[j][rl]
+                out[lin] = acc
         return out
 
     def predict(
@@ -738,9 +722,7 @@ class CompiledRuleSystem:
         """Match + score one ``(D, stop-start)`` block into the batch
         accumulators (shared by both block-loop orientations)."""
         r_idx, i_idx = self._match_pairs(blkT, stop - start)
-        outputs = self._pair_outputs(
-            blkT, r_idx, i_idx, micro=stop - start <= self.MICRO_BLOCK
-        )
+        outputs = self._pair_outputs(blkT, r_idx, i_idx)
         totals[start:stop] = np.bincount(
             i_idx, weights=outputs, minlength=stop - start
         )

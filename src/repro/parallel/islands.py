@@ -16,9 +16,8 @@ builders are provided, and any user digraph with node labels
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 
 from ..core.config import EvolutionConfig
@@ -30,6 +29,11 @@ from ..core.rule import Rule
 from ..series.windowing import WindowDataset
 from .backends import Backend
 from .rng import spawn_generators
+
+# networkx is imported inside the topology builders, the only code that
+# needs it: at module level it cost every ``import repro`` its start-up.
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "ring_topology",
@@ -101,6 +105,8 @@ def _run_island_epoch(
 
 def ring_topology(n_islands: int) -> nx.DiGraph:
     """Directed ring: island i sends to (i+1) mod n."""
+    import networkx as nx
+
     if n_islands < 1:
         raise ValueError("n_islands must be >= 1")
     g = nx.DiGraph()
@@ -112,6 +118,8 @@ def ring_topology(n_islands: int) -> nx.DiGraph:
 
 def torus_topology(rows: int, cols: int) -> nx.DiGraph:
     """2-D torus grid: each island sends to its E and S neighbours."""
+    import networkx as nx
+
     if rows < 1 or cols < 1:
         raise ValueError("rows and cols must be >= 1")
     g = nx.DiGraph()
@@ -131,6 +139,8 @@ def torus_topology(rows: int, cols: int) -> nx.DiGraph:
 
 def star_topology(n_islands: int) -> nx.DiGraph:
     """Hub-and-spoke: island 0 exchanges with every other island."""
+    import networkx as nx
+
     if n_islands < 1:
         raise ValueError("n_islands must be >= 1")
     g = nx.DiGraph()
@@ -143,6 +153,8 @@ def star_topology(n_islands: int) -> nx.DiGraph:
 
 def complete_topology(n_islands: int) -> nx.DiGraph:
     """All-to-all migration."""
+    import networkx as nx
+
     if n_islands < 1:
         raise ValueError("n_islands must be >= 1")
     g = nx.complete_graph(n_islands, create_using=nx.DiGraph)

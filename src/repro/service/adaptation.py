@@ -1050,6 +1050,10 @@ class AdaptationManager:
         backend=None,
         clock: Callable[[], float] = monotonic,
     ) -> None:
+        # Import the retrain machinery at set-up, so that no
+        # drift-triggered poll on the serving loop pays for it.
+        from ..analysis import orchestrator  # noqa: F401
+
         self.service = service
         self.registry = registry
         self.config = config if config is not None else AdaptationConfig()

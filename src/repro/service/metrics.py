@@ -12,8 +12,9 @@ Design constraints, in order:
 
 * **hot-path cheap** — ``Counter.inc`` is one dict lookup plus a float
   add; ``Histogram.observe`` is one :func:`bisect.bisect_left` over a
-  fixed bucket ladder.  No locks: the server is single-event-loop by
-  design, and plain CPython dict/float ops need no extra guard there.
+  fixed bucket ladder, and ``Histogram.observe_many`` records a whole
+  micro-batch in one call.  No locks: the server is single-event-loop
+  by design, and plain CPython dict/float ops need no extra guard there.
 * **fixed log-spaced buckets** — latency spans five orders of
   magnitude (µs batching hits to ms-scale stalls), so the default
   ladder (:func:`log_buckets`) places a constant number of buckets per
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "Counter",
@@ -299,16 +300,43 @@ class Histogram(_Metric):
 
     def observe(self, value: float, **labels: str) -> None:
         """Record one observation into its bucket (``+Inf`` overflow)."""
-        key = self._key(labels)
-        series = self._series.get(key)
-        if series is None:
-            series = self._series[key] = _HistogramSeries(
-                len(self.buckets) + 1
+        self.observe_many([value], **labels)
+
+    def observe_many(
+        self, values: Sequence[float], **labels: Union[str, Sequence[str]]
+    ) -> None:
+        """Record ``values`` in order: the same state as one
+        :meth:`observe` per value, at one call per batch.
+
+        Each label is one string for every value, or a sequence of
+        strings giving each value's own label (``stream=[...]``).
+        """
+        if set(labels) != set(self.label_names):
+            raise ValueError(
+                f"{self.name} expects labels {self.label_names}, "
+                f"got {tuple(sorted(labels))}"
             )
-        v = float(value)
-        series.counts[bisect_left(self.buckets, v)] += 1
-        series.sum += v
-        series.count += 1
+        columns = []
+        for name in self.label_names:
+            label = labels[name]
+            if isinstance(label, str):
+                label = [label] * len(values)
+            elif len(label) != len(values):
+                raise ValueError(
+                    f"label {name!r} has {len(label)} entries for "
+                    f"{len(values)} values"
+                )
+            columns.append(list(map(str, label)))
+        buckets, series_of = self.buckets, self._series
+        keys = zip(*columns) if columns else [()] * len(values)
+        for key, value in zip(keys, values):
+            series = series_of.get(key)
+            if series is None:
+                series = series_of[key] = _HistogramSeries(len(buckets) + 1)
+            v = float(value)
+            series.counts[bisect_left(buckets, v)] += 1
+            series.sum += v
+            series.count += 1
 
     def count(self, **labels: str) -> int:
         """Total observations for the labelled series."""

@@ -11,26 +11,33 @@ loop that accepts thousands of concurrent stream connections"):
   minimal HTTP/1.1 surface (``POST /ingest``, ``GET /metrics``,
   ``GET /healthz``), sniffed from the first request line;
 * **adaptive micro-batching** — every connection funnels events into
-  one bounded :class:`asyncio.Queue`; :class:`AdaptiveBatcher` drains
-  it into a single :meth:`ForecastService.ingest` call per flush,
-  triggered by batch size OR a time window that is continuously
-  re-tuned from the observed arrival rate (the window tracks the time
-  one full batch takes to arrive, clamped to a configured range — so
-  idle streams see bounded latency and busy streams see full batches);
+  one bounded FIFO; :class:`AdaptiveBatcher` drains it into a single
+  :meth:`ForecastService.ingest` call per flush, triggered by batch
+  size OR a time window that is continuously re-tuned from the
+  observed arrival rate (the window tracks the time one full batch
+  takes to arrive, clamped to a configured range — so idle streams
+  see bounded latency and busy streams see full batches);
+* **asyncio work per flush, not per event** — the batcher's consumer
+  sleeps on one future with one deadline timer per flush; each line
+  connection keeps its replies as ordered slots that the flush fills,
+  and the flush wakes each connection's writer once, which encodes
+  every ready reply and sends them in one ``write``.  Per event the
+  loop pays only the parse, a deque append, a reply slot and the
+  encode — no future, task or timer;
 * **backpressure, never unbounded memory** — a full event queue
   answers ``{"error": "overloaded"}`` (HTTP 429) instead of queueing,
-  per-connection response queues are bounded (a client that stops
-  reading stops being read from), and a reader that ignores its
-  responses past the write-buffer drain timeout is disconnected;
+  per-connection reply slots are bounded (a client that stops reading
+  stops being read from), and a reader that ignores its responses past
+  the write-buffer drain timeout is disconnected;
 * **observability** — ``/metrics`` renders the
   :class:`~repro.service.metrics.MetricsRegistry` (event/error/batch
   counters, queue depth, the live adaptive window, and per-stream +
   global ingest-latency histograms) in Prometheus text format;
   ``/healthz`` returns the gateway's JSON snapshot.
 
-**The bitwise contract survives the network.**  The batcher is a
-single consumer of a single FIFO queue and events from one connection
-are enqueued in read order, so each stream's events reach
+**The bitwise contract survives the network.**  The batcher is the
+single consumer of a single FIFO and events from one connection are
+enqueued in read order, so each stream's events reach
 ``ForecastService.ingest`` in the order its client wrote them; the
 gateway's partition-independence property then guarantees forecasts
 bitwise identical to a serial ``ingest_one`` replay — for any
@@ -41,9 +48,12 @@ Fault containment: a malformed line, unknown stream or non-finite
 value is rejected **per event** with a structured error (the event is
 validated before it is allowed near the queue, so one client's
 garbage can never poison a batch carrying other clients' events), and
-a client disconnect mid-batch only cancels the delivery of its own
+a client disconnect mid-batch only drops the delivery of its own
 responses — the scoring itself, and every other connection, proceed
-(``tests/integration/test_server_faults.py``).
+(``tests/integration/test_server_faults.py``).  Cancelling the batcher
+ends it at its next flush boundary even with a deep backlog: no
+``asyncio.wait_for`` sits on the event path, so no cancellation can be
+lost there (CPython gh-86296).
 """
 
 from __future__ import annotations
@@ -53,8 +63,9 @@ import json
 import math
 import socket
 import time
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Deque, Dict, List, Optional, Tuple, Union
 
 from .gateway import Forecast, ForecastService
 from .metrics import MetricsRegistry
@@ -111,38 +122,10 @@ def forecast_to_dict(forecast: Forecast) -> Dict[str, object]:
     return out
 
 
-def parse_event_line(line: str) -> Tuple[str, float]:
-    """Decode one ingest line into ``(stream, value)``.
-
-    Two forms are accepted: a JSON object ``{"stream": s, "value": v}``
-    and CSV plaintext ``stream,value`` (the ``repro serve`` stdin
-    format).  Raises :class:`ProtocolError` with a human-readable
-    reason on anything else — including non-finite values, which the
-    gateway would reject batch-atomically; the server rejects them per
-    event instead so one client's sensor gap cannot touch another's
-    batch.
-    """
-    line = line.strip()
-    if not line:
-        raise ProtocolError("empty line")
-    if line.startswith("{"):
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ProtocolError(f"bad JSON: {exc.msg}") from None
-        if not isinstance(obj, dict) or "stream" not in obj or "value" not in obj:
-            raise ProtocolError(
-                'JSON event must be {"stream": s, "value": v}'
-            )
-        stream, raw = obj["stream"], obj["value"]
-        if not isinstance(stream, str) or not stream:
-            raise ProtocolError("stream must be a non-empty string")
-    else:
-        stream, sep, raw = line.rpartition(",")
-        if not sep or not stream:
-            raise ProtocolError(
-                "expected 'stream,value' or a JSON event object"
-            )
+def _check_event(stream: object, raw: object) -> Tuple[str, float]:
+    """The validator every ingest form ends in: ``(stream, value)``."""
+    if not isinstance(stream, str) or not stream:
+        raise ProtocolError("stream must be a non-empty string")
     try:
         value = float(raw)
     except (TypeError, ValueError):
@@ -152,6 +135,40 @@ def parse_event_line(line: str) -> Tuple[str, float]:
             f"non-finite value {raw!r}; fill or drop sensor gaps upstream"
         )
     return stream, value
+
+
+def _event_object(obj: object) -> Tuple[str, float]:
+    """Validate one decoded JSON event ``{"stream": s, "value": v}``."""
+    if not isinstance(obj, dict) or "stream" not in obj or "value" not in obj:
+        raise ProtocolError('JSON event must be {"stream": s, "value": v}')
+    return _check_event(obj["stream"], obj["value"])
+
+
+def parse_event_line(line: str) -> Tuple[str, float]:
+    """Decode one ingest line into ``(stream, value)``.
+
+    Two forms are accepted: a JSON object ``{"stream": s, "value": v}``
+    and CSV plaintext ``stream,value`` (the ``repro serve`` stdin
+    format).  Raises :class:`ProtocolError` with a human-readable
+    reason on anything else — including non-finite values, which the
+    gateway would reject batch-atomically; the server rejects them per
+    event instead so one client's sensor gap cannot touch another's
+    batch.  HTTP ingest validates its decoded event objects through
+    the same checks.
+    """
+    line = line.strip()
+    if not line:
+        raise ProtocolError("empty line")
+    if line.startswith("{"):
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ProtocolError(f"bad JSON: {exc.msg}") from None
+        return _event_object(obj)
+    stream, sep, raw = line.rpartition(",")
+    if not sep or not stream:
+        raise ProtocolError("expected 'stream,value' or a JSON event object")
+    return _check_event(stream, raw)
 
 
 @dataclass(frozen=True)
@@ -175,8 +192,9 @@ class ServerConfig:
         Global bound on queued-but-unscored events; a full queue sheds
         load with :class:`OverloadedError` instead of growing.
     max_pending_per_conn:
-        Bound on responses queued towards one connection; a client
-        that stops reading stops being read from once it is reached.
+        Bound on replies pending towards one connection (queued,
+        scored or not, and not yet written); a client that stops
+        reading stops being read from once it is reached.
     max_line_bytes:
         Longest accepted ingest line; longer lines get a structured
         error and the connection is closed (the remainder of an
@@ -225,17 +243,79 @@ class ServerConfig:
             raise ValueError("metrics_top_k must be >= 1")
 
 
+class _LineConnection:
+    """The replies of one line-protocol connection, in request order.
+
+    The reader appends one :class:`_Slot` per event line: filled at
+    once with an error dict when the line is rejected, filled by the
+    batcher's flush with the :class:`Forecast` otherwise.  The writer
+    takes the filled slots at the head.  ``ready`` wakes the writer
+    (set by every fill — a no-op when already set, so once per flush
+    in effect); ``space`` wakes a reader held at
+    ``max_pending_per_conn``.
+    """
+
+    __slots__ = ("slots", "ready", "space", "closed", "dead")
+
+    def __init__(self) -> None:
+        self.slots: Deque[_Slot] = deque()
+        self.ready = asyncio.Event()
+        self.space = asyncio.Event()
+        self.closed = False  # the reader is done: finish once slots empty
+        self.dead = False  # the socket is gone: replies are dropped
+
+    def push_error(self, payload: Dict[str, object]) -> None:
+        """Queue an immediate error reply behind the pending ones."""
+        self.slots.append(_Slot(self, payload))
+        self.ready.set()
+
+    def kill(self) -> None:
+        """Drop every pending reply and never hold the reader again."""
+        self.dead = True
+        self.slots.clear()
+        self.space.set()
+
+
+class _Slot:
+    """One reply position on a :class:`_LineConnection`."""
+
+    __slots__ = ("conn", "reply")
+
+    def __init__(
+        self, conn: _LineConnection, reply: Optional[object] = None
+    ) -> None:
+        self.conn = conn
+        self.reply = reply  # None until filled
+
+    def fill(self, reply: object) -> None:
+        """Store the reply and wake the connection's writer."""
+        self.reply = reply
+        self.conn.ready.set()
+
+
+#: ``_wake_at`` while no consumer is parked, or one is held by pause().
+_NEVER = math.inf
+
+
 class AdaptiveBatcher:
     """Funnels events from all connections into adaptive micro-batches.
 
-    One bounded :class:`asyncio.Queue`, one consumer task: the batcher
-    takes the first queued event, then keeps accumulating until either
-    ``max_batch`` events are in hand or the adaptive window has
-    elapsed, and scores the whole batch with a single
-    :meth:`ForecastService.ingest` call.  Being the queue's only
+    One bounded FIFO (a plain deque), one consumer task: once the
+    first event is queued, the batcher keeps accumulating until either
+    ``max_batch`` events are queued or the adaptive window has
+    elapsed, and scores the batch with a single
+    :meth:`ForecastService.ingest` call.  Being the FIFO's only
     consumer makes the global event order a strict FIFO — the
     bitwise-parity property of the gateway extends across the network
     boundary for free.
+
+    The consumer's asyncio work is per flush: it parks on one future,
+    released by the producer whose event reaches the count it waits
+    for, or by one ``call_later`` deadline per open batch.  A backlog
+    already holding ``max_batch`` events flushes at once, yielding to
+    the loop once between flushes.  Each event carries its sink —
+    a future (:meth:`submit`, :meth:`submit_many`) or a line
+    connection's reply slot — and the flush fills the sinks in order.
 
     **Window adaptation.**  After every flush the arrival rate is
     re-estimated with an EWMA over the flush's own throughput, and the
@@ -259,10 +339,14 @@ class AdaptiveBatcher:
         self.config = config
         self.window_s = config.max_window_s
         self._rate: Optional[float] = None
-        self._queue: asyncio.Queue = asyncio.Queue(maxsize=config.queue_size)
+        self._last_flush: Optional[float] = None
+        # (stream, value, sink, enqueue time); sink: Future or _Slot
+        self._pending: Deque[tuple] = deque()
         self._task: Optional[asyncio.Task] = None
-        self._paused = asyncio.Event()
-        self._paused.set()  # set == running
+        self._paused = False
+        self._waiter: Optional[asyncio.Future] = None
+        self._wake_at: float = _NEVER  # queue length releasing the waiter
+        self._drained: List[asyncio.Future] = []
         metrics = metrics if metrics is not None else MetricsRegistry()
         self._c_batches = metrics.counter(
             "repro_server_batches_total", "Micro-batches scored."
@@ -295,6 +379,11 @@ class AdaptiveBatcher:
             top_k=config.metrics_top_k,
         )
 
+    @property
+    def depth(self) -> int:
+        """Events queued, not yet scored."""
+        return len(self._pending)
+
     # -- producer side -------------------------------------------------------
 
     def submit(self, stream: str, value: float) -> "asyncio.Future[Forecast]":
@@ -305,17 +394,8 @@ class AdaptiveBatcher:
         error line) and ``ValueError`` for an unknown stream — both
         before anything is queued, so rejected events leave no trace.
         """
-        self.service._stream(stream)  # unknown stream -> ValueError, unqueued
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        try:
-            self._queue.put_nowait(
-                (stream, value, future, time.perf_counter())
-            )
-        except asyncio.QueueFull:
-            raise OverloadedError(
-                f"event queue full ({self.config.queue_size} pending)"
-            ) from None
-        self._g_depth.set(self._queue.qsize())
+        future = asyncio.get_running_loop().create_future()
+        self._enqueue(stream, value, future)
         return future
 
     def submit_many(
@@ -329,19 +409,33 @@ class AdaptiveBatcher:
         """
         for stream, _ in events:
             self.service._stream(stream)
-        if self._queue.maxsize - self._queue.qsize() < len(events):
+        pending = self._pending
+        if self.config.queue_size - len(pending) < len(events):
             raise OverloadedError(
                 f"event queue cannot take {len(events)} more events"
             )
         loop = asyncio.get_running_loop()
-        futures = []
+        futures = [loop.create_future() for _ in events]
         now = time.perf_counter()
-        for stream, value in events:
-            future = loop.create_future()
-            self._queue.put_nowait((stream, value, future, now))
-            futures.append(future)
-        self._g_depth.set(self._queue.qsize())
+        pending.extend(
+            (stream, value, future, now)
+            for (stream, value), future in zip(events, futures)
+        )
+        if len(pending) >= self._wake_at:
+            self._wake()
         return futures
+
+    def _enqueue(self, stream: str, value: float, sink) -> None:
+        """Queue one validated event whose result goes to ``sink``."""
+        self.service._stream(stream)  # unknown stream -> ValueError, unqueued
+        pending = self._pending
+        if len(pending) >= self.config.queue_size:
+            raise OverloadedError(
+                f"event queue full ({self.config.queue_size} pending)"
+            )
+        pending.append((stream, value, sink, time.perf_counter()))
+        if len(pending) >= self._wake_at:
+            self._wake()
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -353,84 +447,122 @@ class AdaptiveBatcher:
             )
 
     async def stop(self) -> None:
-        """Flush whatever is queued, then stop the consumer task."""
+        """Flush whatever is queued, then stop the consumer task.
+
+        A cancellation of the caller propagates: the consumer's end is
+        awaited with :func:`asyncio.wait`, which never swallows it.
+        """
         await self.drain()
-        if self._task is not None:
-            self._task.cancel()
-            try:
-                await self._task
-            except asyncio.CancelledError:
-                pass
-            self._task = None
+        task, self._task = self._task, None
+        if task is not None:
+            task.cancel()
+            await asyncio.wait([task])
+            if not task.cancelled():
+                task.result()  # surface a consumer crash
 
     async def drain(self) -> None:
         """Wait until every queued event has been scored."""
-        await self._queue.join()
+        if self._pending:
+            waiter = asyncio.get_running_loop().create_future()
+            self._drained.append(waiter)
+            await waiter
 
     def pause(self) -> None:
         """Hold the consumer before its next batch (ops/testing hook).
 
         Queued events stay queued — combined with the bounded queue
         this is also how overload is exercised deterministically in
-        the torture suite.
+        the torture suite.  A consumer already waiting for the first
+        event of a batch takes that batch.
         """
-        self._paused.clear()
+        self._paused = True
 
     def resume(self) -> None:
         """Release a :meth:`pause`."""
-        self._paused.set()
+        self._paused = False
+        if self._wake_at == _NEVER:  # held at the pause gate
+            self._wake()
 
     # -- consumer side -------------------------------------------------------
 
+    def _wake(self) -> None:
+        waiter = self._waiter
+        if waiter is not None and not waiter.done():
+            waiter.set_result(None)
+
+    async def _park(self, wake_at: float, timeout: Optional[float]) -> None:
+        """Sleep until ``wake_at`` events are queued, ``timeout`` passes
+        or :meth:`resume` (one future, at most one timer)."""
+        loop = asyncio.get_running_loop()
+        waiter = self._waiter = loop.create_future()
+        self._wake_at = wake_at
+        timer = None if timeout is None else loop.call_later(timeout, self._wake)
+        try:
+            await waiter
+        finally:
+            self._waiter = None
+            self._wake_at = _NEVER
+            if timer is not None:
+                timer.cancel()
+
     async def _run(self) -> None:
+        pending = self._pending
+        max_batch = self.config.max_batch
         while True:
-            await self._paused.wait()
-            first = await self._queue.get()
-            batch = [first]
-            deadline = time.perf_counter() + self.window_s
-            while len(batch) < self.config.max_batch:
-                timeout = deadline - time.perf_counter()
-                if timeout <= 0:
-                    break
-                try:
-                    batch.append(
-                        await asyncio.wait_for(self._queue.get(), timeout)
-                    )
-                except asyncio.TimeoutError:
-                    break
+            while self._paused:
+                await self._park(_NEVER, None)
+            while not pending:
+                await self._park(1, None)
+            if len(pending) < max_batch:
+                # The batch opened with its first event: it closes at
+                # max_batch events or when the window runs out.
+                await self._park(max_batch, self.window_s)
+            else:
+                await asyncio.sleep(0)  # a backlog still yields per flush
+            batch = [
+                pending.popleft() for _ in range(min(len(pending), max_batch))
+            ]
+            self._g_depth.set(len(pending))
             self._flush(batch)
-            for _ in batch:
-                self._queue.task_done()
-            self._g_depth.set(self._queue.qsize())
+            if not pending:
+                drained, self._drained = self._drained, []
+                for waiter in drained:
+                    if not waiter.done():
+                        waiter.set_result(None)
 
     def _flush(self, batch: List[tuple]) -> None:
-        """Score one batch and resolve its futures (never raises)."""
+        """Score one batch and fill its sinks (never raises)."""
         try:
             forecasts = self.service.ingest(
                 [(stream, value) for stream, value, _, _ in batch]
             )
         except Exception as exc:  # events were pre-validated: defensive
             self._c_failures.inc()
-            for _, _, future, _ in batch:
-                if not future.cancelled():
-                    future.set_exception(
-                        ProtocolError(f"batch rejected: {exc}")
-                    )
+            message = f"batch rejected: {exc}"
+            for _, _, sink, _ in batch:
+                if isinstance(sink, _Slot):
+                    sink.fill({"error": message})
+                elif not sink.cancelled():
+                    sink.set_exception(ProtocolError(message))
             return
         now = time.perf_counter()
-        for (stream, _, future, t0), forecast in zip(batch, forecasts):
-            elapsed = now - t0
-            self._h_latency.observe(elapsed)
-            self._h_stream_latency.observe(elapsed, stream=stream)
-            if not future.cancelled():
-                future.set_result(forecast)
+        elapsed = [now - t0 for _, _, _, t0 in batch]
+        self._h_latency.observe_many(elapsed)
+        self._h_stream_latency.observe_many(
+            elapsed, stream=[stream for stream, _, _, _ in batch]
+        )
+        for (_, _, sink, _), forecast in zip(batch, forecasts):
+            if isinstance(sink, _Slot):
+                sink.fill(forecast)
+            elif not sink.cancelled():
+                sink.set_result(forecast)
         self._c_batches.inc()
         self._c_events.inc(len(batch))
         self._retune(len(batch), now)
 
     def _retune(self, batch_len: int, now: float) -> None:
         """EWMA the arrival rate; aim the window at one full batch."""
-        if not hasattr(self, "_last_flush"):
+        if self._last_flush is None:
             self._last_flush = now
             return
         elapsed = now - self._last_flush
@@ -451,16 +583,6 @@ class AdaptiveBatcher:
             self.config.max_window_s,
         )
         self._g_window.set(self.window_s)
-
-
-def _swallow_result(future: "asyncio.Future") -> None:
-    """Retrieve a discarded response future so it never warns."""
-    if not future.cancelled():
-        future.exception()
-
-
-#: Sentinel queued towards a connection writer for an immediate error.
-_ErrorReply = Dict[str, object]
 
 
 class ForecastServer:
@@ -685,7 +807,7 @@ class ForecastServer:
         out = self.service.healthz()
         out["server"] = {
             "connections_active": self._g_active.value(),
-            "queue_depth": self.batcher._queue.qsize(),
+            "queue_depth": self.batcher.depth,
             "batch_window_s": self.batcher.window_s,
             "overloaded_total": self._c_overloaded.value(),
         }
@@ -762,16 +884,17 @@ class ForecastServer:
     ) -> None:
         """NDJSON / plaintext ingest: one response line per event line.
 
-        Responses are written by a dedicated per-connection task fed
-        from a bounded queue, so scoring (batcher) and socket writes
-        overlap while responses keep the exact request order.
+        Every event line takes a reply slot on the connection, and a
+        dedicated writer task sends the filled head of the slots, so
+        scoring (batcher) and socket writes overlap while responses
+        keep the exact request order.  At ``max_pending_per_conn``
+        slots the reader stops reading until the writer frees some.
         """
-        out_q: asyncio.Queue = asyncio.Queue(
-            maxsize=self.config.max_pending_per_conn
-        )
+        conn = _LineConnection()
         writer_task = asyncio.get_running_loop().create_task(
-            self._write_responses(writer, out_q)
+            self._write_replies(writer, conn)
         )
+        cap = self.config.max_pending_per_conn
         line_no = 0
         line: Optional[bytes] = first
         try:
@@ -779,12 +902,14 @@ class ForecastServer:
                 line_no += 1
                 text = line.decode("utf-8", errors="replace").strip()
                 if text and not text.startswith("#"):
-                    reply = self._submit_line(text, line_no)
-                    await out_q.put(reply)  # bounded: slow client blocks here
+                    while len(conn.slots) >= cap and not conn.dead:
+                        conn.space.clear()
+                        await conn.space.wait()  # slow client blocks here
+                    self._submit_line(text, line_no, conn)
                 try:
                     line = await reader.readline()
                 except ValueError:
-                    await out_q.put(self._line_error(
+                    conn.push_error(self._line_error(
                         "line too long", line_no + 1, reason="oversized"
                     ))
                     break
@@ -792,76 +917,104 @@ class ForecastServer:
                     self._c_disconnects.inc(cause="reset")
                     break
         finally:
-            await out_q.put(None)  # sentinel: flush and finish
-            try:
-                await writer_task
-            except asyncio.CancelledError:
-                pass
+            conn.closed = True
+            conn.ready.set()
+            await writer_task
 
     def _submit_line(
-        self, text: str, line_no: int
-    ) -> "Union[asyncio.Future, _ErrorReply]":
-        """Parse + enqueue one event line; error dict when rejected."""
+        self, text: str, line_no: int, conn: _LineConnection
+    ) -> None:
+        """Parse + enqueue one event line into the next reply slot."""
         try:
             stream, value = parse_event_line(text)
         except ProtocolError as exc:
-            return self._line_error(str(exc), line_no, reason="malformed")
+            conn.push_error(
+                self._line_error(str(exc), line_no, reason="malformed")
+            )
+            return
+        slot = _Slot(conn)
         try:
-            return self.batcher.submit(stream, value)
+            self.batcher._enqueue(stream, value, slot)
         except OverloadedError:
             self._c_overloaded.inc()
-            return {"error": "overloaded", "line": line_no}
+            conn.push_error({"error": "overloaded", "line": line_no})
+            return
         except ValueError as exc:  # unknown stream
-            return self._line_error(str(exc), line_no, reason="unknown-stream")
+            conn.push_error(
+                self._line_error(str(exc), line_no, reason="unknown-stream")
+            )
+            return
+        conn.slots.append(slot)
 
     def _line_error(
         self, message: str, line_no: int, reason: str
-    ) -> _ErrorReply:
+    ) -> Dict[str, object]:
         self._c_errors.inc(reason=reason)
         return {"error": message, "line": line_no}
 
-    async def _write_responses(
-        self, writer: asyncio.StreamWriter, out_q: asyncio.Queue
+    async def _write_replies(
+        self, writer: asyncio.StreamWriter, conn: _LineConnection
     ) -> None:
-        """Drain the response queue in order; drop slow readers.
+        """Send the ready head of the reply slots, one ``write`` per wake.
 
-        After the connection dies (slow reader aborted, peer reset)
-        the loop keeps consuming — discarding — until the reader's
-        ``None`` sentinel, so the reader side is never left blocked on
-        a full queue nobody drains.
+        Ends once the reader is done and every slot is written, or as
+        soon as the connection dies (slow reader aborted, peer reset):
+        a dead connection drops its replies and never holds the reader.
         """
-        dead = False
+        slots = conn.slots
         while True:
-            item = await out_q.get()
-            if item is None:
+            await conn.ready.wait()
+            conn.ready.clear()
+            lines = []
+            while slots and slots[0].reply is not None:
+                reply = slots.popleft().reply
+                lines.append(json.dumps(
+                    reply if type(reply) is dict else forecast_to_dict(reply)
+                ))
+            if lines:
+                conn.space.set()
+                lines.append("")
+                writer.write("\n".join(lines).encode())
+                await self._drain(writer, conn)
+            if conn.dead or (conn.closed and not slots):
                 return
-            if dead:
-                # Don't serialize on resolution either: the reader may
-                # still be flushing thousands of buffered lines.
-                if isinstance(item, asyncio.Future):
-                    item.add_done_callback(_swallow_result)
-                continue
-            if isinstance(item, asyncio.Future):
-                try:
-                    payload = forecast_to_dict(await item)
-                except ProtocolError as exc:
-                    payload = {"error": str(exc)}
-                except asyncio.CancelledError:
-                    raise
-            else:
-                payload = item
-            writer.write(json.dumps(payload).encode() + b"\n")
-            try:
-                await asyncio.wait_for(
-                    writer.drain(), self.config.drain_timeout_s
-                )
-            except asyncio.TimeoutError:
-                self._c_disconnects.inc(cause="slow-reader")
-                writer.transport.abort()
-                dead = True
-            except ConnectionError:
+
+    async def _drain(
+        self, writer: asyncio.StreamWriter, conn: _LineConnection
+    ) -> None:
+        """Wait out write backpressure; drop a slow or vanished reader.
+
+        With only this task writing, ``drain()`` can block only when
+        the last write left the transport above its high-water mark;
+        only then is the ``drain_timeout_s`` deadline armed.  Below it
+        the bare ``drain()`` returns at once and still raises on a
+        reset peer.
+        """
+        timer = None
+        if (
+            writer.transport.get_write_buffer_size()
+            > self.config.write_buffer_bytes
+        ):
+            timer = asyncio.get_running_loop().call_later(
+                self.config.drain_timeout_s,
+                self._drop_slow_reader, writer, conn,
+            )
+        try:
+            await writer.drain()
+        except ConnectionError:
+            if not conn.dead:
                 self._c_disconnects.inc(cause="reset")
-                dead = True
+                conn.kill()
+        finally:
+            if timer is not None:
+                timer.cancel()
+
+    def _drop_slow_reader(
+        self, writer: asyncio.StreamWriter, conn: _LineConnection
+    ) -> None:
+        self._c_disconnects.inc(cause="slow-reader")
+        writer.transport.abort()
+        conn.kill()
 
     # -- the HTTP protocol ---------------------------------------------------
 
@@ -918,6 +1071,8 @@ class ForecastServer:
     ) -> Tuple[int, Dict[str, object]]:
         """``POST /ingest``: one event object or ``{"events": [...]}``.
 
+        Batch entries are event objects or ``[stream, value]`` pairs,
+        validated as decoded by the checks the line protocol ends in.
         The batch form is all-or-nothing: it either queues entirely
         (results in input order) or returns ``429``/``400`` having
         queued nothing, mirroring the gateway's atomic-batch contract.
@@ -929,14 +1084,17 @@ class ForecastServer:
             return 400, {"error": f"bad JSON body: {exc}"}
         try:
             if isinstance(obj, dict) and "events" in obj:
+                if not isinstance(obj["events"], list):
+                    raise ProtocolError('"events" must be a list')
                 events = [
-                    parse_event_line(json.dumps(e) if isinstance(e, dict)
-                                     else f"{e[0]},{e[1]}")
+                    _check_event(*e)
+                    if isinstance(e, list) and len(e) == 2
+                    else _event_object(e)
                     for e in obj["events"]
                 ]
             else:
-                events = [parse_event_line(json.dumps(obj))]
-        except (ProtocolError, TypeError, IndexError) as exc:
+                events = [_event_object(obj)]
+        except ProtocolError as exc:
             self._c_errors.inc(reason="malformed")
             return 400, {"error": f"bad event: {exc}"}
         try:

@@ -20,6 +20,7 @@ import pytest
 from repro.core.predictor import RuleSystem
 from repro.core.rule import Rule
 from repro.service import (
+    AdaptiveBatcher,
     ForecastServer,
     ForecastService,
     OverloadedError,
@@ -331,6 +332,53 @@ class TestOverload:
         assert service.stats()["events"] == 1 + queue_size + 1
         assert _metric(server, "repro_server_overloaded_total") == 3
 
+    def test_reader_holds_at_pending_reply_cap(self, pool):
+        """A connection with max_pending_per_conn unanswered lines is not
+        read further: its backlog stays in the socket, not in the
+        queue, until replies drain — then every line is answered."""
+        cap, n_lines = 2, 10
+
+        async def run():
+            service = _service(pool)
+            config = ServerConfig(max_pending_per_conn=cap,
+                                  max_window_s=0.005)
+            async with ForecastServer(service, config) as server:
+                host, port = server.address
+                server.batcher.pause()
+                (warm,) = await _exchange(host, port, ["gauge,0.1\n"])
+                assert "error" not in warm
+                await server.batcher.drain()
+
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write("".join(
+                    f"gauge,0.{i}5\n" for i in range(n_lines)
+                ).encode())
+                await writer.drain()
+                loop = asyncio.get_running_loop()
+                deadline = loop.time() + 10.0
+                while server.batcher.depth < cap:
+                    assert loop.time() < deadline
+                    await asyncio.sleep(0.01)
+                await asyncio.sleep(0.1)  # room to overrun, were it unbounded
+                held = server.batcher.depth
+                server.batcher.resume()
+                replies = [
+                    json.loads(await reader.readline())
+                    for _ in range(n_lines)
+                ]
+                writer.close()
+                await writer.wait_closed()
+                return held, replies
+
+        held, replies = asyncio.run(run())
+        assert held == cap
+        oracle = _service(pool)
+        oracle.ingest_one("gauge", 0.1)
+        assert replies == [
+            forecast_to_dict(oracle.ingest_one("gauge", float(f"0.{i}5")))
+            for i in range(n_lines)
+        ]
+
     def test_http_ingest_is_all_or_nothing(self, pool):
         """A batch with one bad event changes nothing; an oversized
         batch against a full queue gets 429 with nothing queued."""
@@ -360,6 +408,20 @@ class TestOverload:
                 ]})
                 assert status == "400" and "unknown stream" in body["error"]
                 assert service.stats()["events"] == 0  # nothing queued
+                # Decoded entries meet the line protocol's checks.
+                for bad, fragment in (
+                    ({"stream": "gauge", "value": "nan"}, "non-finite"),
+                    (["gauge", "abc"], "bad value 'abc'"),
+                    ({"stream": "", "value": 0.5}, "non-empty string"),
+                    (["gauge"], "JSON event must be"),
+                ):
+                    status, body = await post(host, port, {"events": [
+                        {"stream": "gauge", "value": 0.5}, bad,
+                    ]})
+                    assert status == "400"
+                    assert body["error"].startswith("bad event: ")
+                    assert fragment in body["error"]
+                assert service.stats()["events"] == 0
 
                 server.batcher.pause()
                 (warm,) = await _exchange(host, port, ["gauge,0.1\n"])
@@ -411,3 +473,39 @@ class TestBatcherContract:
         results = asyncio.run(run())
         assert all("error" not in r for r in results)
         assert [r["t"] for r in results] == [1, 2]
+
+
+class TestBatcherLifecycle:
+    def test_cancel_with_deep_queue_ends_promptly(self, pool):
+        """Cancelling the consumer mid-backlog ends it within a bound.
+
+        Regression for ``asyncio.wait_for`` dropping a cancellation
+        that arrives after its inner awaitable has completed (CPython
+        gh-86296, Python <= 3.11).  With events queued, every
+        ``queue.get()`` completes at once, so a consumer that waited
+        on each event through ``wait_for`` lost ``cancel()``, scored
+        the whole backlog and then parked, still alive, on the empty
+        queue.  The bound is waited on with ``asyncio.wait``, which
+        does not share the bug.
+        """
+        n_events = 20_000
+
+        async def run():
+            service = _service(pool)
+            batcher = AdaptiveBatcher(
+                service, ServerConfig(queue_size=n_events)
+            )
+            values = np.linspace(-1.0, 1.0, n_events)
+            batcher.submit_many([("gauge", float(v)) for v in values])
+            batcher.start()
+            await asyncio.sleep(0.02)
+            task = batcher._task
+            task.cancel()
+            done, _ = await asyncio.wait({task}, timeout=1.0)
+            return task in done and task.cancelled(), service, batcher
+
+        ended, service, batcher = asyncio.run(run())
+        assert ended, "cancel() was lost: the consumer outlived its bound"
+        # A cancelled consumer leaves unscored events queued, never
+        # half-scored: each event is scored once or still pending.
+        assert service.stats()["events"] + batcher.depth == n_events

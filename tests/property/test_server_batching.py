@@ -146,6 +146,116 @@ class TestNetworkBitwise:
 
     @given(
         st.integers(1, 4),         # d
+        st.integers(1, 12),        # rules
+        st.integers(1, 4),         # streams
+        st.integers(1, 15),        # events per stream
+        st.integers(1, 3),         # connections
+        st.integers(1, 4),         # max_pending_per_conn
+        st.integers(1, 16),        # max_batch
+        st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_pipelined_replies_under_small_pending_cap(
+        self, d, n_rules, n_streams, per_stream, n_conns, cap,
+        max_batch, seed,
+    ):
+        """Pipelined lines against a 1–4 reply cap, with malformed,
+        comment and blank lines interleaved: every connection gets one
+        reply per non-ignored line, in line order — forecasts bitwise
+        the serial replay, each error naming its own line number.
+
+        The cap is far below each connection's line count, so readers
+        stop and resume on the reply-slot bound throughout.
+        """
+        rng = np.random.default_rng(seed)
+        pool, streams = _build(rng, d, n_rules, n_streams, per_stream)
+        assignment = {
+            name: int(rng.integers(0, n_conns)) for name in streams
+        }
+        bad_lines = (
+            ("{not json", "bad JSON"),
+            ("ghost,1.0", "unknown stream"),
+            ("{name},nan", "non-finite"),
+            ("{name},abc", "bad value"),
+            (",1.0", "expected 'stream,value'"),
+            ('{"stream": "{name}"}', "JSON event must be"),
+        )
+        # Per connection: the wire lines, and per line what it expects
+        # (None: ignored, ("event", name), ("error", fragment)).
+        conn_lines, conn_expect, conn_events = [], [], []
+        for c in range(n_conns):
+            mine = {n: v for n, v in streams.items() if assignment[n] == c}
+            events = interleaved_events(rng, mine) if mine else []
+            some = next(iter(mine), "gauge")
+            lines, expect = [], []
+            for name, value in events:
+                while rng.random() < 0.3:
+                    roll = rng.random()
+                    if roll < 0.3:
+                        lines.append(rng.choice(["# comment\n", "\n", "  \n"]))
+                        expect.append(None)
+                    else:
+                        text, fragment = bad_lines[
+                            int(rng.integers(0, len(bad_lines)))
+                        ]
+                        lines.append(text.replace("{name}", some) + "\n")
+                        expect.append(("error", fragment))
+                lines.append(_wire_line(rng, name, value))
+                expect.append(("event", name))
+            conn_lines.append(lines)
+            conn_expect.append(expect)
+            conn_events.append(events)
+
+        async def drive():
+            service = _bound_service(pool, streams)
+            config = ServerConfig(
+                max_batch=max_batch,
+                max_window_s=0.002,
+                min_window_s=0.0005,
+                max_pending_per_conn=cap,
+            )
+
+            async def one_connection(host, port, lines, expect):
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write("".join(lines).encode())
+                await writer.drain()
+                n_replies = sum(e is not None for e in expect)
+                out = [
+                    json.loads(await reader.readline())
+                    for _ in range(n_replies)
+                ]
+                writer.close()
+                await writer.wait_closed()
+                return out
+
+            async with ForecastServer(service, config) as server:
+                host, port = server.address
+                return await asyncio.gather(*(
+                    one_connection(host, port, lines, expect)
+                    for lines, expect in zip(conn_lines, conn_expect)
+                )), service
+
+        replies, service = asyncio.run(drive())
+        oracle = _serial_oracle(pool, streams, conn_events)
+        for expect, out in zip(conn_expect, replies):
+            numbered = [
+                (line_no, e)
+                for line_no, e in enumerate(expect, start=1)
+                if e is not None
+            ]
+            assert len(out) == len(numbered)
+            for (line_no, (kind, what)), reply in zip(numbered, out):
+                if kind == "event":
+                    assert reply == oracle[what].pop(0)
+                else:
+                    assert set(reply) == {"error", "line"}
+                    assert reply["line"] == line_no
+                    assert what in reply["error"]
+        assert all(not rest for rest in oracle.values())
+        assert service.stats()["events"] == sum(map(len, conn_events))
+
+    @given(
+        st.integers(1, 4),         # d
         st.integers(1, 15),        # rules
         st.integers(1, 4),         # streams
         st.integers(1, 12),        # events per stream

@@ -150,6 +150,41 @@ class TestHistogram:
             with pytest.raises(ValueError):
                 Histogram("lat", "latency", buckets=bad)
 
+    def test_observe_many_equals_observe_per_value(self):
+        """One batched call leaves the exact state of one observe per
+        value in order: counts, float sums bit for bit, render."""
+        values = [0.005, 0.05, 0.5, 5.0, 0.01, 1e-9, 0.1 + 0.2, 0.3]
+        streams = ["a", "b", "a", "c", "b", "a", "other", "c"]
+        one = Histogram("lat", "latency", ["stream"], buckets=[0.01, 0.1],
+                        top_k=2)
+        many = Histogram("lat", "latency", ["stream"], buckets=[0.01, 0.1],
+                         top_k=2)
+        for v, s in zip(values, streams):
+            one.observe(v, stream=s)
+        many.observe_many(values[:3], stream=streams[:3])
+        many.observe_many(values[3:], stream=streams[3:])
+        assert many.render() == one.render()
+        for s in set(streams):
+            assert many.cumulative(stream=s) == one.cumulative(stream=s)
+            assert many._series[(s,)].sum == one._series[(s,)].sum
+
+        plain_one = Histogram("lat", "latency")
+        plain_many = Histogram("lat", "latency")
+        for v in values:
+            plain_one.observe(v)
+        plain_many.observe_many(values)
+        plain_many.observe_many([])
+        assert plain_many.render() == plain_one.render()
+
+    def test_observe_many_shared_label_and_validation(self):
+        h = Histogram("lat", "latency", ["stream"], buckets=[0.01])
+        h.observe_many([0.001, 0.1], stream="gauge")
+        assert h.cumulative(stream="gauge") == [1, 2]
+        with pytest.raises(ValueError, match="expects labels"):
+            h.observe_many([0.1])
+        with pytest.raises(ValueError, match="entries"):
+            h.observe_many([0.1, 0.2], stream=["gauge"])
+
 
 class TestHistogramTopK:
     def _capped(self, top_k=2):
