@@ -106,22 +106,6 @@ class EvolutionConfig:
         scratch every generation (CLI: ``--no-incremental``); results
         are bitwise identical, only the work differs.  Kept as an A/B
         escape hatch for benchmarking and debugging.
-    offspring_batch:
-        Offspring produced per engine step.  ``1`` (default) is the
-        paper's strict steady-state loop — one offspring per
-        generation, and the RNG stream is bitwise-identical to what it
-        was before this knob existed.  ``K > 1`` draws K offspring
-        from the batch-start population, matches all of them in one
-        stacked-bounds kernel pass
-        (:func:`~repro.core.matching.population_match_matrix_stacked`)
-        and replaces them sequentially (each replacement sees the
-        previous ones).  Every offspring still counts as one
-        generation of the budget.  This is a *different but equally
-        valid* execution — parents of offspring ``2..K`` ignore the
-        batch's earlier replacements and the RNG consumption order
-        changes — so it is an explicit throughput knob, never a silent
-        default (``tests/property/test_engine_batch.py`` pins both the
-        ``K=1`` bitwise guarantee and the ``K>1`` determinism).
     """
 
     d: int = 24
@@ -138,11 +122,8 @@ class EvolutionConfig:
     stats_every: int = 0
     early_stop_patience: int = 0
     incremental: bool = True
-    offspring_batch: int = 1
 
     def __post_init__(self) -> None:
-        if self.offspring_batch < 1:
-            raise ValueError("offspring_batch must be >= 1")
         if self.early_stop_patience < 0:
             raise ValueError("early_stop_patience must be >= 0")
         if self.d < 1:

@@ -29,7 +29,8 @@ from ..series.windowing import WindowDataset
 from .config import EvolutionConfig
 from .evaluation import evaluate_population, evaluate_rule
 from .initialization import random_population, stratified_population
-from .matching import population_match_matrix_stacked
+# Not called here: perfbench's tracer wraps this name in this module.
+from .matching import population_match_matrix_stacked  # noqa: F401
 from .operators import mutate, uniform_crossover
 from .population_state import PopulationState
 from .replacement import replacement_index, try_replace
@@ -169,94 +170,24 @@ class SteadyStateEngine:
             self.replacements += 1
         return accepted
 
-    def step_batch(self, k: int) -> List[bool]:
-        """``k`` offspring in one engine step; per-offspring accept flags.
-
-        The batched variant behind ``EvolutionConfig.offspring_batch``:
-        all ``k`` offspring are bred from the batch-start population
-        (selection/crossover/mutation consume the RNG in offspring
-        order), their masks are computed in **one** stacked-bounds pass
-        — the same kernel :class:`PopulationState` uses for its
-        cold-start build, amortizing the per-call dispatch that
-        dominates ``k`` separate lazy matches — and replacement then
-        runs strictly sequentially, each offspring challenging the
-        population as left by the previous one.
-
-        ``k=1`` takes the exact :meth:`step` code path (lazy
-        single-rule matching, identical RNG call sequence), so the
-        default configuration stays bitwise-reproducible against
-        pre-batching runs.  With ``incremental=False`` the state is
-        rebuilt once per *batch*, not per offspring — the A/B baseline
-        cost model follows the step granularity.
-        """
-        assert self.state is not None, "initialize() must run first"
-        if k < 1:
-            raise ValueError("step_batch needs k >= 1")
-        if k == 1:
-            return [self.step()]
-        cfg = self.config
-        if not cfg.incremental:
-            self.state = PopulationState.from_population(
-                self.population, self.dataset.X, use_cached=False
-            )
-        brood: List[Rule] = []
-        for _ in range(k):
-            ia, ib = select_parents(
-                self.population, cfg.tournament_rounds, self.rng
-            )
-            child = uniform_crossover(
-                self.population[ia], self.population[ib], self.rng
-            )
-            mutate(child, cfg.mutation, self.dataset.input_range, self.rng)
-            brood.append(child)
-        masks = population_match_matrix_stacked(brood, self.dataset.X)
-        for i, child in enumerate(brood):
-            evaluate_rule(child, self.dataset, cfg, mask=masks[i])
-        flags: List[bool] = []
-        for child in brood:
-            slot = replacement_index(
-                child, self.population, self.state, cfg.crowding, self.rng
-            )
-            accepted = try_replace(self.population, self.state, child, slot)
-            if accepted:
-                self.replacements += 1
-            flags.append(accepted)
-        return flags
-
     def run(self) -> EvolutionResult:
         """Initialize (if needed) and run the generation budget.
 
         Stops early when ``config.early_stop_patience`` consecutive
         offspring have been rejected (population converged), if enabled.
-        Each offspring counts as one generation regardless of
-        ``offspring_batch``; with batching, statistics snapshots and the
-        early-stop decision are evaluated per offspring but can only
-        take effect at batch boundaries (a snapshot whose cadence lands
-        mid-batch observes the end-of-batch population).
         """
         if not self.population:
             self.initialize()
         cfg = self.config
         stagnant = 0
-        gen = 0
-        stopped = False
-        while gen < cfg.generations and not stopped:
-            batch = min(cfg.offspring_batch, cfg.generations - gen)
-            flags = (
-                self.step_batch(batch) if batch > 1 else [self.step(gen)]
-            )
-            for accepted in flags:
-                gen += 1
-                stagnant = 0 if accepted else stagnant + 1
-                if cfg.stats_every and gen % cfg.stats_every == 0:
-                    self.stats.append(self.snapshot(gen))
-                if (
-                    cfg.early_stop_patience
-                    and stagnant >= cfg.early_stop_patience
-                ):
-                    self.stats.append(self.snapshot(gen))
-                    stopped = True
-                    break
+        for gen in range(1, cfg.generations + 1):
+            accepted = self.step(gen - 1)
+            stagnant = 0 if accepted else stagnant + 1
+            if cfg.stats_every and gen % cfg.stats_every == 0:
+                self.stats.append(self.snapshot(gen))
+            if cfg.early_stop_patience and stagnant >= cfg.early_stop_patience:
+                self.stats.append(self.snapshot(gen))
+                break
         return EvolutionResult(
             rules=self.population,
             stats=self.stats,

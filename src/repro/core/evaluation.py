@@ -5,13 +5,14 @@ This ties together :mod:`~repro.core.matching`,
 single operation the engine applies to every offspring, caching the
 match mask on the rule (it doubles as the crowding phenotype).
 
-:func:`evaluate_population` batches the matching step through
-:func:`~repro.core.matching.population_match_matrix_stacked` — one
-``(P, D)`` bounds stack against the window matrix instead of ``P``
-separate passes — which is the cold-start path of
+:func:`evaluate_population` matches all rules in one call of
+:func:`~repro.core.matching.population_match_matrix_stacked`, the
+cold-start path of
 :class:`~repro.core.population_state.PopulationState`.  Per-offspring
-evaluation (:func:`evaluate_rule` without a precomputed mask) keeps the
-lazy single-rule kernel.
+evaluation (:func:`evaluate_rule` without a precomputed mask) calls
+:func:`~repro.core.matching.match_mask`, which on a training set's
+sliding-window view works from the sorted series rather than the whole
+window matrix.
 """
 
 from __future__ import annotations
@@ -73,8 +74,8 @@ def evaluate_population(
 ) -> None:
     """Evaluate every rule in place (used at initialization).
 
-    Matches all rules in one batched stacked-bounds pass, then fits
-    each predicting part from its precomputed mask row.
+    Matches all rules in one batched call, then fits each predicting
+    part from its precomputed mask row.
     """
     if not rules:
         return

@@ -2,27 +2,40 @@
 
 For a rule with effective bounds ``lo, hi`` (wildcards widened to
 ``±inf``) and a window matrix ``X`` of shape ``(n, D)``, the match mask
-is ``all(lo <= X <= hi, axis=1)``: two broadcasted comparisons and a
-reduction, no Python-level loop (HPC guide: "vectorize for loops",
-"broadcasting").
+is ``all(lo <= X <= hi, axis=1)``.  :func:`match_mask_dense` computes
+exactly that — two broadcasted comparisons and a reduction — and is
+the oracle every faster path is property-tested against.
 
-`match_mask` additionally short-circuits along the lag axis in chunks:
-most candidate rules reject most windows on the first non-wildcard lag,
-so evaluating the comparison lag-by-lag over the surviving subset is
-substantially faster than the full dense product for selective rules,
-while never changing the result.
+:func:`match_mask` returns the same mask with less work, on one of
+three paths:
 
-For whole populations, :func:`population_match_matrix_stacked` batches
-all ``P`` rules into one ``(P, D)`` bounds stack broadcast against the
-window matrix — the cold-start path behind
-:class:`~repro.core.population_state.PopulationState`.  The per-rule
-functions remain the oracle the batched kernel is property-tested
-against.
+* **Sorted series.**  A float64 sliding-window view has
+  ``strides == (itemsize, itemsize)``, so window ``i`` at lag ``j`` is
+  ``s[i + j]`` of one series ``s`` (every
+  :class:`~repro.series.windowing.WindowDataset` ``X`` is such a view).
+  For ``n >= 512`` windows, a sorted copy of ``s`` — built once per
+  window matrix from the memory the view covers, and dropped when the
+  view dies — turns each active lag's interval into a range of sorted
+  values: ``searchsorted`` with ``"left"`` for ``lo`` and ``"right"``
+  for ``hi`` keeps both bounds inclusive.  The lag holding the fewest
+  series values proposes the candidate windows, and the other lags are
+  checked on the survivors only, most selective first.  The work is
+  the candidates, not the ``n x D`` matrix.
+* **Lazy.**  Any other matrix of ``n >= 512`` rows with more than two
+  active lags is compared one lag at a time over the still-alive rows.
+* **Dense.**  Small matrices and rules with at most two active lags.
+
+For whole populations, :func:`population_match_matrix_stacked` gives
+the ``(P, n)`` matrix of the cold start behind
+:class:`~repro.core.population_state.PopulationState`: on a sliding
+view it stacks the sorted-series masks, and on any other matrix it
+broadcasts one ``(P, D)`` bounds stack against window blocks.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import weakref
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -75,12 +88,80 @@ def match_mask_dense(rule: Rule, windows: np.ndarray) -> np.ndarray:
     return np.all((windows >= lo) & (windows <= hi), axis=1)
 
 
-def match_mask(rule: Rule, windows: np.ndarray) -> np.ndarray:
-    """Boolean mask of the windows matching ``rule`` (lazy evaluation).
+#: Window matrices with fewer rows take the dense one-shot comparison.
+_DENSE_BELOW = 512
 
-    Evaluates non-wildcard lags one at a time over the still-alive subset
-    of rows, which is faster than the dense kernel whenever the rule is
-    selective.  Identical results to :func:`match_mask_dense`.
+#: ``id(view) -> (weakref to the view, (series, order, ranked))``.  An
+#: entry lives exactly as long as its view: the weakref's callback drops
+#: it, and holds the dict itself rather than this module's global, which
+#: interpreter shutdown may already have cleared.
+_SERIES_INDEX: Dict[int, Tuple["weakref.ref[np.ndarray]", tuple]] = {}
+
+
+def _series_index(windows: np.ndarray) -> Optional[tuple]:
+    """``(series, order, ranked)`` of a sliding-window view, else None.
+
+    ``series`` is the view's underlying series (window ``i``, lag ``j``
+    is ``series[i + j]``), copied from the view's own first column and
+    last row; ``ranked = series[order]`` is its stably sorted copy.
+    Built once per view object and cached by identity, like
+    :meth:`~repro.core.rule.Rule.bind_mask` — and, like the rule mask
+    cache, it assumes the values under a view do not change while the
+    view lives (``WindowDataset`` views are read-only).
+    """
+    if windows.dtype != np.float64 or windows.strides != (8, 8):
+        return None
+    key = id(windows)
+    entry = _SERIES_INDEX.get(key)
+    if entry is not None and entry[0]() is windows:
+        return entry[1]
+    series = np.concatenate((windows[:, 0], windows[-1, 1:]))
+    order = np.argsort(series, kind="stable")
+    index = (series, order, series[order])
+    _SERIES_INDEX[key] = (
+        weakref.ref(
+            windows, lambda _ref, key=key, cache=_SERIES_INDEX: cache.pop(key, None)
+        ),
+        index,
+    )
+    return index
+
+
+def _match_sorted(
+    index: tuple, lo: np.ndarray, hi: np.ndarray, lags: np.ndarray, n: int
+) -> np.ndarray:
+    """Match mask over a sliding view from its sorted series index.
+
+    ``lo``/``hi`` are the bounds of the active ``lags``.  ``[first, last)``
+    of ``ranked`` holds exactly the series values inside a lag's bounds;
+    an empty or NaN bound matches nothing, as in the dense comparison.
+    """
+    series, order, ranked = index
+    if not (lo <= hi).all():
+        return np.zeros(n, dtype=bool)
+    first = ranked.searchsorted(lo, "left")
+    last = ranked.searchsorted(hi, "right")
+    by_hits = np.argsort(last - first, kind="stable")
+    k = by_hits[0]
+    lag = lags[k]
+    pos = order[first[k]:last[k]]
+    alive = pos[(pos >= lag) & (pos < lag + n)] - lag
+    for k in by_hits[1:]:
+        if alive.size == 0:
+            break
+        col = series[lags[k]:][alive]
+        alive = alive[(col >= lo[k]) & (col <= hi[k])]
+    mask = np.zeros(n, dtype=bool)
+    mask[alive] = True
+    return mask
+
+
+def match_mask(rule: Rule, windows: np.ndarray) -> np.ndarray:
+    """Boolean mask of the windows matching ``rule``.
+
+    Takes the sorted-series, lazy or dense path described in the module
+    docstring; identical results to :func:`match_mask_dense` on all of
+    them.
     """
     if windows.ndim != 2 or windows.shape[1] != rule.n_lags:
         raise ValueError(
@@ -91,8 +172,16 @@ def match_mask(rule: Rule, windows: np.ndarray) -> np.ndarray:
     n = windows.shape[0]
     if active_lags.size == 0:
         return np.ones(n, dtype=bool)
+    if n < _DENSE_BELOW:
+        return match_mask_dense(rule, windows)
+    index = _series_index(windows)
+    if index is not None:
+        return _match_sorted(
+            index, rule.lower[active_lags], rule.upper[active_lags],
+            active_lags, n,
+        )
     # Heuristic: with few active lags the dense kernel's single pass wins.
-    if active_lags.size <= 2 or n < 512:
+    if active_lags.size <= 2:
         return match_mask_dense(rule, windows)
 
     alive = np.arange(n)
@@ -139,18 +228,21 @@ def population_match_matrix(
 def population_match_matrix_stacked(
     rules: Sequence[Rule], windows: np.ndarray, block_size: int = 4096
 ) -> np.ndarray:
-    """Batched match matrix: one ``(P, D)`` bounds stack vs all windows.
+    """Batched match matrix: the ``(P, n)`` masks of all rules at once.
 
-    Stacks every rule's effective lo/hi bounds into two ``(P, D)``
-    matrices and broadcasts them against the ``(n, D)`` window matrix in
-    window blocks, producing the same ``(P, n)`` boolean matrix as
-    :func:`population_match_matrix` without any per-rule Python loop
-    over the windows.  This is the cold-start initializer of
-    :class:`~repro.core.population_state.PopulationState`; the per-rule
-    path stays as the property-test oracle.
+    The cold-start initializer of
+    :class:`~repro.core.population_state.PopulationState`; it returns
+    the same matrix as :func:`population_match_matrix` without reading
+    any rule's cached mask.  On a sliding-window view of ``n >= 512``
+    rows it stacks the per-rule sorted-series masks of
+    :func:`match_mask`, whose work is each rule's candidates.  On any
+    other matrix it stacks every rule's effective lo/hi bounds into two
+    ``(P, D)`` matrices and broadcasts them against the ``(n, D)``
+    windows in blocks, with no per-rule Python loop.
 
-    ``block_size`` bounds the ``(P, block, D)`` comparison temporary so
-    peak memory stays ~``P * block_size * D`` bytes regardless of ``n``.
+    ``block_size`` bounds the broadcast's ``(P, block, D)`` comparison
+    temporary so peak memory stays ~``P * block_size * D`` bytes
+    regardless of ``n``.
     """
     P = len(rules)
     n = windows.shape[0]
@@ -163,8 +255,12 @@ def population_match_matrix_stacked(
         raise ValueError(
             f"windows shape {windows.shape} incompatible with rule arity {d}"
         )
-    lo, hi = stack_effective_bounds(rules)
     out = np.empty((P, n), dtype=bool)
+    if n >= _DENSE_BELOW and _series_index(windows) is not None:
+        for i, rule in enumerate(rules):
+            out[i] = match_mask(rule, windows)
+        return out
+    lo, hi = stack_effective_bounds(rules)
     for start in range(0, n, block_size):
         stop = min(start + block_size, n)
         block = windows[start:stop]  # (B, D)

@@ -2,19 +2,26 @@
 
 The steady-state GA (§3.3) replaces *at most one* individual per
 generation, so every population-wide quantity the engine consumes —
-the stacked match matrix used by crowding replacement, the fitness
-vector behind statistics snapshots, the coverage mask behind the
-"percentage of prediction" — changes by at most one row per generation.
-:class:`PopulationState` owns those quantities and exposes
-:meth:`PopulationState.replace` so that a generation costs one row
-update (``O(n)``) instead of a full recomputation over all ``P`` rules
-× ``n`` windows (``O(P·n·D)``).
+the match matrix and its packed mirror used by crowding replacement,
+the fitness vector behind statistics snapshots, the coverage counts
+behind the "percentage of prediction" — changes by at most one row per
+generation.  :class:`PopulationState` owns those quantities and
+exposes :meth:`PopulationState.replace` so that a generation costs one
+row update (``O(n)``) instead of a full recomputation over all ``P``
+rules × ``n`` windows (``O(P·n·D)``).
+
+Crowding reads the packed mirror: each mask row is also kept as
+``ceil(n / 64)`` ``uint64`` words, next to its set size, so
+:meth:`PopulationState.intersections` counts ``|A ∩ B|`` for every
+row as AND + popcount over ``n / 64`` words rather than a scan of the
+``(P, n)`` bool matrix.  Popcount is ``np.bitwise_count`` on numpy 2,
+and a 256-entry byte table on older numpy.
 
 Cold starts (engine initialization, island migration bootstraps) go
 through :meth:`PopulationState.from_population`, which reuses the
 rules' cached masks when they are valid and otherwise falls back to the
 batched :func:`~repro.core.matching.population_match_matrix_stacked`
-kernel.  The per-rule path
+kernel.  The per-rule dense path
 (:func:`~repro.core.matching.match_mask_dense` +
 :func:`~repro.core.evaluation.evaluate_population`) remains the
 property-test oracle; see ``tests/property/test_population_state.py``.
@@ -32,10 +39,40 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .matching import match_mask, population_match_matrix_stacked
+from .matching import match_mask_dense, population_match_matrix_stacked
 from .rule import Rule
 
-__all__ = ["PopulationState", "MaskSource", "as_mask_matrix"]
+__all__ = ["PopulationState", "MaskSource", "as_mask_matrix", "pack_masks"]
+
+
+def pack_masks(masks: np.ndarray) -> np.ndarray:
+    """Pack bool masks along the last axis into ``uint64`` words.
+
+    ``(..., n)`` bool becomes ``(..., ceil(n / 64))`` ``uint64``; the
+    padding bits of the last word are zero, so popcounts of ANDed rows
+    count exactly the shared set bits.
+    """
+    n = masks.shape[-1]
+    words = np.zeros(masks.shape[:-1] + ((n + 63) // 64,), dtype=np.uint64)
+    words.view(np.uint8)[..., : (n + 7) // 8] = np.packbits(masks, axis=-1)
+    return words
+
+
+_BYTE_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
+def _table_popcounts(words: np.ndarray) -> np.ndarray:
+    """Set bits per row of a ``(P, W)`` word matrix, by byte table."""
+    return _BYTE_POPCOUNT[words.view(np.uint8)].sum(axis=1, dtype=np.int64)
+
+
+def _native_popcounts(words: np.ndarray) -> np.ndarray:
+    """Set bits per row of a ``(P, W)`` word matrix (numpy >= 2.0)."""
+    return np.bitwise_count(words).sum(axis=1, dtype=np.int64)
+
+
+#: Row popcounts as int64: ``np.bitwise_count`` exists from numpy 2.0.
+_row_popcounts = _native_popcounts if hasattr(np, "bitwise_count") else _table_popcounts
 
 
 class PopulationState:
@@ -53,13 +90,19 @@ class PopulationState:
         ``(n,)`` int64 — number of rules matching each window
         (``masks.sum(axis=0)``), maintained incrementally so coverage
         queries are ``O(n)`` instead of ``O(P·n)``.
+    packed:
+        ``(P, ceil(n / 64))`` uint64 — ``masks`` packed by
+        :func:`pack_masks`; the crowding phenotype as bit rows.
+    sizes:
+        ``(P,)`` int64 — matched windows per rule
+        (``masks.sum(axis=1)``), the ``|B|`` of every Jaccard union.
     windows:
         Optional reference to the window matrix the masks were computed
         against; lets consumers (diagnostics) detect by identity that a
         state belongs to a *different* window set of the same length.
     """
 
-    __slots__ = ("masks", "fitness", "coverage_counts", "windows")
+    __slots__ = ("masks", "fitness", "coverage_counts", "packed", "sizes", "windows")
 
     def __init__(
         self,
@@ -83,6 +126,8 @@ class PopulationState:
         self.masks = masks
         self.fitness = fitness
         self.coverage_counts = masks.sum(axis=0, dtype=np.int64)
+        self.packed = pack_masks(masks)
+        self.sizes = masks.sum(axis=1, dtype=np.int64)
         self.windows = windows
 
     # -- construction -------------------------------------------------------
@@ -166,14 +211,28 @@ class PopulationState:
         """Number of rules strictly above the invalid-rule floor."""
         return int((self.fitness > f_min).sum())
 
+    def intersections(self, mask: np.ndarray) -> np.ndarray:
+        """``|mask ∩ row|`` for every mask row, as ``(P,)`` int64.
+
+        AND + popcount of ``mask``'s packed words against
+        :attr:`packed`: ``P·n/64`` word operations instead of a
+        ``(P, n)`` bool scan.
+        """
+        if mask.shape != (self.n_windows,):
+            raise ValueError(
+                f"mask shape {mask.shape} != ({self.n_windows},)"
+            )
+        return _row_popcounts(self.packed & pack_masks(mask))
+
     # -- incremental updates ------------------------------------------------
 
     def replace(self, index: int, new_rule: Rule) -> None:
         """Install ``new_rule`` at ``index``: one ``O(n)`` row update.
 
-        Updates the match-matrix row, the fitness entry and the
-        coverage counts; the caller is responsible for mutating the
-        population list itself (or use :meth:`try_replace`).
+        Updates the match-matrix row and its packed mirror and size,
+        the fitness entry and the coverage counts; the caller is
+        responsible for mutating the population list itself (or use
+        :meth:`try_replace`).
         """
         if not 0 <= index < self.n_rules:
             raise IndexError(f"index {index} out of range [0, {self.n_rules})")
@@ -187,6 +246,8 @@ class PopulationState:
         self.coverage_counts -= old
         self.coverage_counts += mask
         self.masks[index] = mask
+        self.packed[index] = pack_masks(mask)
+        self.sizes[index] = np.count_nonzero(mask)
         self.fitness[index] = new_rule.fitness
 
     def try_replace(
@@ -211,16 +272,21 @@ class PopulationState:
 
         Debug/test helper: raises ``AssertionError`` when any cached
         quantity has drifted from the oracle (per-rule
-        :func:`~repro.core.matching.match_mask` plus fresh reductions).
+        :func:`~repro.core.matching.match_mask_dense` plus fresh
+        reductions and packing).
         """
         assert len(rules) == self.n_rules
         for i, rule in enumerate(rules):
-            expect = match_mask(rule, windows)
+            expect = match_mask_dense(rule, windows)
             assert np.array_equal(self.masks[i], expect), f"mask row {i} stale"
             assert self.fitness[i] == rule.fitness, f"fitness entry {i} stale"
         assert np.array_equal(
             self.coverage_counts, self.masks.sum(axis=0, dtype=np.int64)
         ), "coverage counts stale"
+        assert np.array_equal(self.packed, pack_masks(self.masks)), "packed rows stale"
+        assert np.array_equal(
+            self.sizes, self.masks.sum(axis=1, dtype=np.int64)
+        ), "row sizes stale"
 
 
 #: Accepted forms of a population mask matrix across the core helpers.

@@ -8,9 +8,15 @@ structure (one rule per behaviour regime).
 
 The phenotype of a rule is *where it predicts*: its matched-window set
 on the training data.  Distance between two rules is the Jaccard
-distance between their matched sets, computed vectorized over the
-stacked boolean mask matrix.  Prediction-value distance breaks ties and
-covers rules with empty matched sets.
+distance between their matched sets.  On a ``(P, n)`` boolean mask
+matrix, :func:`jaccard_distances` counts the intersections by scanning
+the matrix and stays the oracle.  Given the engine's
+:class:`~repro.core.population_state.PopulationState` it counts them as
+AND + popcount over the state's packed rows and takes ``|B|`` from its
+cached row sizes.  Both feed the same integers into the same formula,
+so the distances, and the slot crowding picks, are bitwise equal.
+Prediction-value distance breaks ties and covers rules with empty
+matched sets.
 
 Alternative strategies (``prediction``-only distance, ``random``
 replacement, replace-``worst``) are provided for the ablation bench.
@@ -18,8 +24,8 @@ replacement, replace-``worst``) are provided for the ablation bench.
 The mask-matrix argument of these helpers may be a raw ``(P, n)``
 boolean matrix or the engine's live
 :class:`~repro.core.population_state.PopulationState`; passing the
-state lets :func:`try_replace` keep its fitness vector and coverage
-counts in sync with the one-row update.
+state lets :func:`try_replace` keep its fitness vector, coverage
+counts, packed rows and row sizes in sync with the one-row update.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .population_state import MaskSource, PopulationState, as_mask_matrix
+from .population_state import MaskSource, PopulationState
 from .rule import Rule
 
 __all__ = [
@@ -40,21 +46,32 @@ __all__ = [
 ]
 
 
-def jaccard_distances(offspring_mask: np.ndarray, population_masks: np.ndarray) -> np.ndarray:
+def jaccard_distances(
+    offspring_mask: np.ndarray, population_masks: MaskSource
+) -> np.ndarray:
     """Jaccard distance between one mask and each row of a mask matrix.
 
     ``d(A, B) = 1 - |A ∩ B| / |A ∪ B|``; two empty sets have distance 0
     (identical empty phenotypes), an empty vs non-empty pair has
-    distance 1.
+    distance 1.  On a ``(P, n)`` boolean matrix the intersections come
+    from a scan of the whole matrix — the oracle.  On a
+    :class:`~repro.core.population_state.PopulationState` they come
+    from its packed rows and ``|B|`` from its row sizes: the same int64
+    counts, hence bitwise-equal distances.
     """
-    if population_masks.ndim != 2 or offspring_mask.ndim != 1:
-        raise ValueError("expected (P, n) mask matrix and (n,) offspring mask")
-    if population_masks.shape[1] != offspring_mask.shape[0]:
-        raise ValueError("mask lengths disagree")
-    inter = (population_masks & offspring_mask).sum(axis=1)
-    sizes = population_masks.sum(axis=1)
-    off_size = int(offspring_mask.sum())
-    union = sizes + off_size - inter
+    if offspring_mask.ndim != 1:
+        raise ValueError("expected an (n,) offspring mask")
+    if isinstance(population_masks, PopulationState):
+        inter = population_masks.intersections(offspring_mask)
+        sizes = population_masks.sizes
+    else:
+        if population_masks.ndim != 2:
+            raise ValueError("expected (P, n) mask matrix and (n,) offspring mask")
+        if population_masks.shape[1] != offspring_mask.shape[0]:
+            raise ValueError("mask lengths disagree")
+        inter = (population_masks & offspring_mask).sum(axis=1, dtype=np.int64)
+        sizes = population_masks.sum(axis=1, dtype=np.int64)
+    union = sizes + int(np.count_nonzero(offspring_mask)) - inter
     with np.errstate(invalid="ignore", divide="ignore"):
         dist = 1.0 - inter / union
     dist[union == 0] = 0.0
@@ -80,11 +97,12 @@ def nearest_phenotype_index(
     the all-empty degenerate case) are broken by prediction-value
     distance, then by lowest fitness (prefer displacing weak rules).
     ``population_masks`` may be a raw ``(P, n)`` matrix or a
-    :class:`~repro.core.population_state.PopulationState`.
+    :class:`~repro.core.population_state.PopulationState`, whose packed
+    rows and row sizes give the same distances without a matrix scan.
     """
     if offspring.match_mask is None:
         raise ValueError("offspring must be evaluated before replacement")
-    dj = jaccard_distances(offspring.match_mask, as_mask_matrix(population_masks))
+    dj = jaccard_distances(offspring.match_mask, population_masks)
     best = np.nonzero(dj == dj.min())[0]
     if best.size == 1:
         return int(best[0])
@@ -128,8 +146,9 @@ def try_replace(
     Updates the stacked mask matrix row in place on success — and, when
     ``population_masks`` is a
     :class:`~repro.core.population_state.PopulationState`, its fitness
-    vector and coverage counts too.  Returns whether the replacement
-    happened (§3.3: "else the population doesn't change").
+    vector, coverage counts, packed rows and row sizes too.  Returns
+    whether the replacement happened (§3.3: "else the population
+    doesn't change").
     """
     if isinstance(population_masks, PopulationState):
         return population_masks.try_replace(population, offspring, index)
